@@ -1,22 +1,19 @@
-//! One benchmark per paper table/figure: each regenerates its artifact
-//! end-to-end (grid slice → histogram/table text). Run with
+//! One benchmark per `figures::FIGURES` entry, labelled `figures/<id>`:
+//! each re-renders its table or figure from a shared grid. Run with
 //!
 //! ```text
 //! cargo bench -p ilpc-bench --bench figures
 //! ```
 //!
 //! The *measured* quantity is regeneration wall time; the regenerated
-//! content itself (the paper's rows/series) is printed once per benchmark
-//! at full fidelity by the `report` binary and asserted by the integration
+//! content itself (the paper's rows/series) is printed at full fidelity by
+//! the `report` binary and asserted by the integration
 //! tests. Grid slices here run at reduced trip-count scale so the whole
 //! suite stays in benchmark-friendly time. Results land in
 //! `BENCH_figures.json`.
 
 use ilpc_core::level::Level;
-use ilpc_harness::figures::{
-    regs_histogram, render_histogram, render_summary, render_table1,
-    render_table2, speedup_histogram, Bins, Subset,
-};
+use ilpc_harness::figures::FIGURES;
 use ilpc_harness::grid::{run_grid, Grid, GridConfig};
 use ilpc_testkit::bench::Harness;
 use std::sync::OnceLock;
@@ -34,38 +31,11 @@ fn shared_grid() -> &'static Grid {
     })
 }
 
-fn bench_tables(h: &mut Harness) {
-    h.bench("table1_latencies", render_table1);
-    h.bench("table2_loop_nests", render_table2);
-}
-
 fn bench_figures(h: &mut Harness) {
     let grid = shared_grid();
-    let speedup_figs: &[(&str, &str, u32, Bins, Subset)] = &[
-        ("figures/fig08_speedups_issue2", "fig8", 2, Bins::fig8(), Subset::All),
-        ("figures/fig09_speedups_issue4", "fig9", 4, Bins::fig9(), Subset::All),
-        ("figures/fig10_speedups_issue8", "fig10", 8, Bins::fig10(), Subset::All),
-        ("figures/fig12_speedups_doall", "fig12", 8, Bins::fig10(), Subset::Doall),
-        ("figures/fig14_speedups_nondoall", "fig14", 8, Bins::fig10(), Subset::NonDoall),
-    ];
-    for (label, fig, width, bins, subset) in speedup_figs {
-        h.bench(label, || {
-            let hist = speedup_histogram(grid, *width, bins.clone(), *subset);
-            render_histogram(fig, &hist)
-        });
+    for fig in FIGURES {
+        h.bench(&format!("figures/{}", fig.id), || fig.render(grid));
     }
-    let regs_figs: &[(&str, &str, Subset)] = &[
-        ("figures/fig11_registers_issue8", "fig11", Subset::All),
-        ("figures/fig13_registers_doall", "fig13", Subset::Doall),
-        ("figures/fig15_registers_nondoall", "fig15", Subset::NonDoall),
-    ];
-    for (label, fig, subset) in regs_figs {
-        h.bench(label, || {
-            let hist = regs_histogram(grid, 8, *subset);
-            render_histogram(fig, &hist)
-        });
-    }
-    h.bench("figures/summary_statistics", || render_summary(grid));
 }
 
 fn bench_grid_rebuild(h: &mut Harness) {
@@ -87,7 +57,6 @@ fn bench_grid_rebuild(h: &mut Harness) {
 
 fn main() {
     let mut h = Harness::new("figures");
-    bench_tables(&mut h);
     bench_figures(&mut h);
     bench_grid_rebuild(&mut h);
     h.finish();

@@ -2,20 +2,104 @@
 //!
 //! Each figure in the paper is a histogram: the number of loops whose
 //! speedup (or register usage) falls into each range, with one series per
-//! transformation level. The binaries in `src/bin/` print these tables; the
-//! integration tests assert their qualitative shape.
+//! transformation level. [`FIGURES`] lists every table and figure once;
+//! `report` prints them (`report --only ID` a chosen few), the `figures`
+//! bench times them, and the integration tests assert their shape.
 
 use crate::grid::Grid;
+use crate::run::EvalPoint;
 use ilpc_core::level::Level;
 use ilpc_workloads::WorkloadMeta;
 use std::fmt::Write;
 
+/// One paper artifact: a table, a figure, or a block of statistics.
+pub struct Figure {
+    /// Stable name for `report --only` and the bench label.
+    pub id: &'static str,
+    /// First line of the rendered text.
+    pub title: &'static str,
+    /// The text under the title. Tables 1 and 2 ignore the grid.
+    body: fn(&Grid) -> String,
+}
+
+impl Figure {
+    /// The title line followed by the table.
+    pub fn render(&self, grid: &Grid) -> String {
+        format!("{}\n{}", self.title, (self.body)(grid))
+    }
+}
+
+/// Every table and figure of the paper, in the paper's order, then the
+/// per-loop appendix.
+pub static FIGURES: &[Figure] = &[
+    Figure {
+        id: "table1",
+        title: "Table 1: Instruction latencies",
+        body: |_| render_table1(),
+    },
+    Figure {
+        id: "table2",
+        title: "Table 2: Description of loop nests",
+        body: |_| render_table2(),
+    },
+    Figure {
+        id: "fig08",
+        title: "Figure 8: speedup distribution, issue-2",
+        body: |g| render_histogram(&speedup_histogram(g, 2, Bins::fig8(), Subset::All)),
+    },
+    Figure {
+        id: "fig09",
+        title: "Figure 9: speedup distribution, issue-4",
+        body: |g| render_histogram(&speedup_histogram(g, 4, Bins::fig9(), Subset::All)),
+    },
+    Figure {
+        id: "fig10",
+        title: "Figure 10: speedup distribution, issue-8",
+        body: |g| render_histogram(&speedup_histogram(g, 8, Bins::fig10(), Subset::All)),
+    },
+    Figure {
+        id: "fig11",
+        title: "Figure 11: register usage distribution, issue-8",
+        body: |g| render_histogram(&regs_histogram(g, 8, Subset::All)),
+    },
+    Figure {
+        id: "fig12",
+        title: "Figure 12: speedup distribution, DOALL loops, issue-8",
+        body: |g| render_histogram(&speedup_histogram(g, 8, Bins::fig10(), Subset::Doall)),
+    },
+    Figure {
+        id: "fig13",
+        title: "Figure 13: register usage, DOALL loops, issue-8",
+        body: |g| render_histogram(&regs_histogram(g, 8, Subset::Doall)),
+    },
+    Figure {
+        id: "fig14",
+        title: "Figure 14: speedup distribution, non-DOALL loops, issue-8",
+        body: |g| render_histogram(&speedup_histogram(g, 8, Bins::fig10(), Subset::NonDoall)),
+    },
+    Figure {
+        id: "fig15",
+        title: "Figure 15: register usage, non-DOALL loops, issue-8",
+        body: |g| render_histogram(&regs_histogram(g, 8, Subset::NonDoall)),
+    },
+    Figure {
+        id: "summary",
+        title: "== Average speedups over issue-1 Conv ==",
+        body: render_summary,
+    },
+    Figure {
+        id: "per-loop",
+        title: "== Per-loop speedups (issue-8) ==",
+        body: |g| render_per_loop(g, 8),
+    },
+];
+
 /// Bin edges for a histogram; bin `k` covers `[edges[k], edges[k+1])`, the
 /// last bin is open-ended.
 #[derive(Debug, Clone)]
-pub struct Bins {
-    pub edges: Vec<f64>,
-    pub labels: Vec<String>,
+struct Bins {
+    edges: Vec<f64>,
+    labels: Vec<String>,
 }
 
 impl Bins {
@@ -32,7 +116,7 @@ impl Bins {
     }
 
     /// Speedup bins of Figure 8 (issue-2).
-    pub fn fig8() -> Bins {
+    fn fig8() -> Bins {
         Bins::from_edges(
             vec![0.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0],
             |a, b| format!("{a:.2}-{:.2}", b - 0.01),
@@ -40,7 +124,7 @@ impl Bins {
     }
 
     /// Speedup bins of Figure 9 (issue-4).
-    pub fn fig9() -> Bins {
+    fn fig9() -> Bins {
         Bins::from_edges(
             vec![0.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0],
             |a, b| format!("{a:.2}-{:.2}", b - 0.01),
@@ -48,7 +132,7 @@ impl Bins {
     }
 
     /// Speedup bins of Figure 10 (issue-8; also Figures 12 and 14).
-    pub fn fig10() -> Bins {
+    fn fig10() -> Bins {
         Bins::from_edges(
             vec![0.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
             |a, b| format!("{a:.2}-{:.2}", b - 0.01),
@@ -56,7 +140,7 @@ impl Bins {
     }
 
     /// Register usage bins of Figure 11 (also Figures 13 and 15).
-    pub fn fig11() -> Bins {
+    fn fig11() -> Bins {
         Bins {
             edges: vec![0.0, 16.0, 32.0, 48.0, 64.0, 96.0, 128.0],
             labels: vec![
@@ -72,7 +156,7 @@ impl Bins {
     }
 
     /// Index of the bin containing `v`.
-    pub fn bin_of(&self, v: f64) -> usize {
+    fn bin_of(&self, v: f64) -> usize {
         let mut k = 0;
         while k + 1 < self.edges.len() && v >= self.edges[k + 1] {
             k += 1;
@@ -83,14 +167,14 @@ impl Bins {
 
 /// Loop subset selector for Figures 12-15.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Subset {
+enum Subset {
     All,
     Doall,
     NonDoall,
 }
 
 impl Subset {
-    pub fn includes(self, m: &WorkloadMeta) -> bool {
+    fn includes(self, m: &WorkloadMeta) -> bool {
         match self {
             Subset::All => true,
             Subset::Doall => m.ltype.is_doall(),
@@ -100,50 +184,61 @@ impl Subset {
 }
 
 /// Histogram counts: `counts[level][bin]`.
-pub struct Histogram {
-    pub bins: Bins,
-    pub levels: Vec<Level>,
-    pub counts: Vec<Vec<usize>>,
+struct Histogram {
+    bins: Bins,
+    levels: Vec<Level>,
+    counts: Vec<Vec<usize>>,
+}
+
+/// Histogram of `value(loop, level)` over the loops in `subset`, one
+/// column per level of the grid. A loop without a value at a level is left
+/// out of that level's column.
+fn histogram(
+    grid: &Grid,
+    bins: Bins,
+    subset: Subset,
+    value: impl Fn(&str, Level) -> Option<f64>,
+) -> Histogram {
+    let levels = grid.levels.clone();
+    let mut counts = vec![vec![0usize; bins.labels.len()]; levels.len()];
+    for m in grid.meta.iter().filter(|m| subset.includes(m)) {
+        for (li, &level) in levels.iter().enumerate() {
+            if let Some(v) = value(m.name, level) {
+                counts[li][bins.bin_of(v)] += 1;
+            }
+        }
+    }
+    Histogram { bins, levels, counts }
 }
 
 /// Build the speedup distribution histogram for `width` over `subset`.
-pub fn speedup_histogram(
+fn speedup_histogram(
     grid: &Grid,
     width: u32,
     bins: Bins,
     subset: Subset,
 ) -> Histogram {
-    let levels = Level::ALL.to_vec();
-    let mut counts = vec![vec![0usize; bins.labels.len()]; levels.len()];
-    for m in grid.meta.iter().filter(|m| subset.includes(m)) {
-        for (li, &level) in levels.iter().enumerate() {
-            if let Some(s) = grid.speedup(m.name, level, width) {
-                counts[li][bins.bin_of(s)] += 1;
-            }
-        }
-    }
-    Histogram { bins, levels, counts }
+    histogram(grid, bins, subset, |name, level| grid.speedup(name, level, width))
 }
 
 /// Build the register usage histogram for `width` over `subset`.
-pub fn regs_histogram(grid: &Grid, width: u32, subset: Subset) -> Histogram {
-    let bins = Bins::fig11();
-    let levels = Level::ALL.to_vec();
-    let mut counts = vec![vec![0usize; bins.labels.len()]; levels.len()];
-    for m in grid.meta.iter().filter(|m| subset.includes(m)) {
-        for (li, &level) in levels.iter().enumerate() {
-            if let Some(p) = grid.point(m.name, level, width) {
-                counts[li][bins.bin_of(p.regs.total() as f64)] += 1;
-            }
-        }
+fn regs_histogram(grid: &Grid, width: u32, subset: Subset) -> Histogram {
+    histogram(grid, Bins::fig11(), subset, |name, level| {
+        grid.point(name, level, width).map(|p| p.regs.total() as f64)
+    })
+}
+
+/// Write one header cell per level, each right-aligned in `width` columns
+/// after a single space.
+fn level_header(out: &mut String, levels: &[Level], width: usize) {
+    for l in levels {
+        let _ = write!(out, " {:>width$}", l.name());
     }
-    Histogram { bins, levels, counts }
 }
 
 /// Render a histogram as a text table (ranges as rows, levels as columns).
-pub fn render_histogram(title: &str, h: &Histogram) -> String {
+fn render_histogram(h: &Histogram) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{title}");
     let _ = write!(out, "{:<14}", "range");
     for l in &h.levels {
         let _ = write!(out, "{:>6}", l.name());
@@ -151,22 +246,21 @@ pub fn render_histogram(title: &str, h: &Histogram) -> String {
     let _ = writeln!(out);
     for (bi, label) in h.bins.labels.iter().enumerate() {
         let _ = write!(out, "{label:<14}");
-        for (li, _) in h.levels.iter().enumerate() {
-            let _ = write!(out, "{:>6}", h.counts[li][bi]);
+        for counts in &h.counts {
+            let _ = write!(out, "{:>6}", counts[bi]);
         }
         let _ = writeln!(out);
     }
     out
 }
 
-/// Per-loop speedup/register dump (useful for EXPERIMENTS.md appendices).
-pub fn render_per_loop(grid: &Grid, width: u32) -> String {
+/// Per-loop speedups at `width` for every level of the grid, plus the
+/// loop's Lev4 register count.
+fn render_per_loop(grid: &Grid, width: u32) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:>9} {:>6} | {:>7} {:>7} {:>7} {:>7} {:>7} | {:>5}",
-        "loop", "type", "conds", "Conv", "Lev1", "Lev2", "Lev3", "Lev4", "regs4"
-    );
+    let _ = write!(out, "{:<12} {:>9} {:>6} |", "loop", "type", "conds");
+    level_header(&mut out, &grid.levels, 7);
+    let _ = writeln!(out, " | {:>5}", "regs4");
     for m in &grid.meta {
         let _ = write!(
             out,
@@ -175,7 +269,7 @@ pub fn render_per_loop(grid: &Grid, width: u32) -> String {
             m.ltype.name(),
             if m.conds { "yes" } else { "no" }
         );
-        for level in Level::ALL {
+        for &level in &grid.levels {
             let s = grid.speedup(m.name, level, width).unwrap_or(f64::NAN);
             let _ = write!(out, " {s:>7.2}");
         }
@@ -188,46 +282,37 @@ pub fn render_per_loop(grid: &Grid, width: u32) -> String {
     out
 }
 
-/// The paper's §3.2/§4 summary statistics.
-pub fn render_summary(grid: &Grid) -> String {
+/// The paper's §3.2/§4 summary statistics, below the
+/// "== Average speedups over issue-1 Conv ==" title.
+fn render_summary(grid: &Grid) -> String {
     let mut out = String::new();
-    let all = || grid.meta.iter().map(|m| m.name);
-    let doall = || {
+    let names = |subset: Subset| {
         grid.meta
             .iter()
-            .filter(|m| m.ltype.is_doall())
-            .map(|m| m.name)
-    };
-    let nondoall = || {
-        grid.meta
-            .iter()
-            .filter(|m| !m.ltype.is_doall())
+            .filter(move |m| subset.includes(m))
             .map(|m| m.name)
     };
 
-    let _ = writeln!(out, "== Average speedups over issue-1 Conv ==");
-    let _ = writeln!(
-        out,
-        "{:<8} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "config", "Conv", "Lev1", "Lev2", "Lev3", "Lev4"
-    );
+    let _ = write!(out, "{:<8}", "config");
+    level_header(&mut out, &grid.levels, 7);
+    let _ = writeln!(out);
     for width in [2u32, 4, 8] {
         let _ = write!(out, "issue-{width:<2}");
-        for level in Level::ALL {
-            let _ = write!(out, " {:>7.2}", grid.mean_speedup(all(), level, width));
+        for &level in &grid.levels {
+            let v = grid.mean_speedup(names(Subset::All), level, width);
+            let _ = write!(out, " {v:>7.2}");
         }
         let _ = writeln!(out);
     }
 
     let _ = writeln!(out, "\n== Issue-8 by loop class (paper §4) ==");
-    for (label, iter) in [("DOALL", 0), ("non-DOALL", 1)] {
+    let _ = write!(out, "{:<10}", "class");
+    level_header(&mut out, &grid.levels, 7);
+    let _ = writeln!(out);
+    for (label, subset) in [("DOALL", Subset::Doall), ("non-DOALL", Subset::NonDoall)] {
         let _ = write!(out, "{label:<10}");
-        for level in Level::ALL {
-            let v = if iter == 0 {
-                grid.mean_speedup(doall(), level, 8)
-            } else {
-                grid.mean_speedup(nondoall(), level, 8)
-            };
+        for &level in &grid.levels {
+            let v = grid.mean_speedup(names(subset), level, 8);
             let _ = write!(out, " {v:>7.2}");
         }
         let _ = writeln!(out);
@@ -236,53 +321,40 @@ pub fn render_summary(grid: &Grid) -> String {
     // Transformation cost: dynamic and static instruction overhead.
     let _ = writeln!(out, "\n== Instruction overhead vs Conv (issue-8) ==");
     let _ = writeln!(out, "{:<5} {:>10} {:>10}", "level", "dyn", "static");
-    let conv_dyn: f64 = grid
-        .meta
-        .iter()
-        .filter_map(|m| grid.point(m.name, Level::Conv, 8))
-        .map(|p| p.dyn_insts as f64)
-        .sum();
-    let conv_static: f64 = grid
-        .meta
-        .iter()
-        .filter_map(|m| grid.point(m.name, Level::Conv, 8))
-        .map(|p| p.static_insts as f64)
-        .sum();
-    for level in Level::ALL {
-        let dynsum: f64 = grid
-            .meta
+    let total = |level: Level, count: fn(&EvalPoint) -> f64| -> f64 {
+        grid.meta
             .iter()
             .filter_map(|m| grid.point(m.name, level, 8))
-            .map(|p| p.dyn_insts as f64)
-            .sum();
-        let stsum: f64 = grid
-            .meta
-            .iter()
-            .filter_map(|m| grid.point(m.name, level, 8))
-            .map(|p| p.static_insts as f64)
-            .sum();
+            .map(count)
+            .sum()
+    };
+    let dyn_insts = |p: &EvalPoint| p.dyn_insts as f64;
+    let static_insts = |p: &EvalPoint| p.static_insts as f64;
+    let conv_dyn = total(Level::Conv, dyn_insts).max(1.0);
+    let conv_static = total(Level::Conv, static_insts).max(1.0);
+    for &level in &grid.levels {
         let _ = writeln!(
             out,
             "{:<5} {:>9.2}x {:>9.2}x",
             level.name(),
-            dynsum / conv_dyn.max(1.0),
-            stsum / conv_static.max(1.0)
+            total(level, dyn_insts) / conv_dyn,
+            total(level, static_insts) / conv_static
         );
     }
 
     let _ = writeln!(out, "\n== Average registers (issue-8) ==");
-    for level in Level::ALL {
+    for &level in &grid.levels {
         let _ = writeln!(
             out,
             "{:<5} {:>7.1}",
             level.name(),
-            grid.mean_regs(all(), level, 8)
+            grid.mean_regs(names(Subset::All), level, 8)
         );
     }
     // Register growth only over full coverage: a ratio of two partial
     // means (different holes in each) would be meaningless.
-    let conv = grid.mean_regs(all(), Level::Conv, 8).complete();
-    let lev4 = grid.mean_regs(all(), Level::Lev4, 8).complete();
+    let conv = grid.mean_regs(names(Subset::All), Level::Conv, 8).complete();
+    let lev4 = grid.mean_regs(names(Subset::All), Level::Lev4, 8).complete();
     match (conv, lev4) {
         (Some(c), Some(l)) if c > 0.0 => {
             let _ = writeln!(out, "register growth Conv -> Lev4: {:.2}x", l / c);
@@ -300,15 +372,19 @@ pub fn render_summary(grid: &Grid) -> String {
                 .unwrap_or(false)
         })
         .count();
-    let _ = writeln!(out, "loops under 128 registers at Lev4: {under128} / 40");
+    let _ = writeln!(
+        out,
+        "loops under 128 registers at Lev4: {under128} / {}",
+        grid.meta.len()
+    );
     out
 }
 
-/// The paper's Table 1 (instruction latencies) from the machine model.
-pub fn render_table1() -> String {
+/// The body of the paper's Table 1 (instruction latencies) from the
+/// machine model.
+fn render_table1() -> String {
     let t = ilpc_machine::TABLE1;
     let mut out = String::new();
-    let _ = writeln!(out, "Table 1: Instruction latencies");
     let rows = [
         ("Int ALU", t.int_alu.to_string(), "FP ALU", t.fp_alu.to_string()),
         ("Int multiply", t.int_mul.to_string(), "FP conversion", t.fp_cvt.to_string()),
@@ -322,10 +398,10 @@ pub fn render_table1() -> String {
     out
 }
 
-/// The paper's Table 2 (loop nest descriptions) from the catalog.
-pub fn render_table2() -> String {
+/// The body of the paper's Table 2 (loop nest descriptions) from the
+/// catalog.
+fn render_table2() -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Table 2: Description of loop nests");
     let _ = writeln!(
         out,
         "{:<14}{:>6}{:>8}{:>6}  {:<10}{:>6}",
@@ -363,6 +439,13 @@ mod tests {
         assert_eq!(r.bin_of(15.0), 0);
         assert_eq!(r.bin_of(16.0), 1);
         assert_eq!(r.bin_of(130.0), 6);
+    }
+
+    #[test]
+    fn figure_ids_are_unique() {
+        for (i, f) in FIGURES.iter().enumerate() {
+            assert!(FIGURES[..i].iter().all(|g| g.id != f.id), "duplicate id {}", f.id);
+        }
     }
 
     #[test]

@@ -46,6 +46,26 @@ RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
 echo "== offline test suite =="
 cargo test -q --offline
 
+echo "== EXPERIMENTS.md drift (report --scale 1.0) =="
+# Every block fenced as ```report in EXPERIMENTS.md must be verbatim output
+# of the full-scale report (~1.5 s): a number that moves in the code must
+# move in the document too. The report itself exits nonzero on any
+# differential mismatch.
+report_out=$(mktemp)
+./target/release/report --scale 1.0 > "$report_out"
+python3 - "$report_out" EXPERIMENTS.md <<'EOF'
+import re, sys
+out = open(sys.argv[1]).read()
+doc = open(sys.argv[2]).read()
+blocks = re.findall(r"^```report\n(.*?)^```$", doc, re.M | re.S)
+assert blocks, "no ```report blocks in EXPERIMENTS.md"
+stale = [b.splitlines()[0] for b in blocks if b not in out]
+assert not stale, ("EXPERIMENTS.md blocks differ from `report --scale 1.0`: "
+                   + "; ".join(stale))
+print(f"ok: {len(blocks)} EXPERIMENTS.md blocks match the report")
+EOF
+rm -f "$report_out"
+
 echo "== bench regression gate =="
 # Re-runs the grid bench and fails if simulator cycles/sec regresses >25%
 # against the committed BENCH_grid.json (tolerance via ILPC_BENCH_TOLERANCE).
