@@ -39,7 +39,7 @@ fn bench_figures(h: &mut Harness) {
 }
 
 fn bench_grid_rebuild(h: &mut Harness) {
-    // The end-to-end sweep behind every figure: 40 loops × 5 levels ×
+    // The end-to-end sweep behind every figure: 40 loops × 6 levels ×
     // {1,8}, compiled, scheduled, simulated and verified.
     h.bench_n("grid/rebuild_small_grid", 10, || {
         let grid = run_grid(&GridConfig {

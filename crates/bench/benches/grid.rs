@@ -8,9 +8,10 @@
 //! Writes `BENCH_grid.json` at the **repository root** (the cwd is pinned
 //! there regardless of how cargo invokes the target), so successive
 //! commits can diff the same file: `grid/wall` tracks the wall time of a
-//! reduced 40-workload grid, and the `*/sim_cycles` entries track raw
-//! simulator throughput (elems = simulated cycles, so `Melem/s` reads as
-//! simulated Mcycles/s).
+//! reduced 40-workload grid (elems = grid points, so `Melem/s` reads as
+//! verified points per microsecond), and the `*/sim_cycles` entries track
+//! raw simulator throughput (elems = simulated cycles, so `Melem/s` reads
+//! as simulated Mcycles/s).
 
 use ilpc_core::level::Level;
 use ilpc_harness::compile::compile;
@@ -34,10 +35,12 @@ fn bench_grid_wall(h: &mut Harness) {
         threads: 4,
         ..GridConfig::default()
     };
+    let points = (40 * cfg.levels.len() * cfg.widths.len()) as u64;
     let mut cycles_per_run = 0u64;
-    h.bench_n("grid/wall", 5, || {
+    h.bench_n_elems("grid/wall", 5, points, || {
         let grid = run_grid(&cfg).expect("grid config rejected");
         assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
+        assert_eq!(grid.completed() as u64, points);
         cycles_per_run = 0;
         for m in &grid.meta {
             for &level in &cfg.levels {

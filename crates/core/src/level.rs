@@ -207,18 +207,43 @@ pub fn passes(level: Level) -> impl Iterator<Item = &'static Pass> {
     PASSES.iter().filter(move |p| level >= p.level)
 }
 
+/// Walk the level chain once: run [`PASSES`] on `m` (which must be freshly
+/// lowered, unoptimized IR) up to the highest of `levels`, and call `at`
+/// with the module and the cumulative report at each requested level's
+/// boundary, in increasing level order whatever the order of `levels`.
+///
+/// Levels are cumulative, so `passes(k)` is a prefix of `passes(k + 1)`
+/// and the module `at` sees for level `k` is exactly what
+/// [`apply_level`] makes of `k`. Returns the report of the highest level
+/// (empty when `levels` is).
+pub fn walk_levels(
+    m: &mut Module,
+    levels: &[Level],
+    ucfg: &UnrollConfig,
+    mut at: impl FnMut(Level, &Module, &TransformReport),
+) -> TransformReport {
+    let mut sorted = levels.to_vec();
+    sorted.sort();
+    sorted.dedup();
+    let mut rep = TransformReport::default();
+    let mut chain = PASSES.iter().peekable();
+    for level in sorted {
+        while let Some(pass) = chain.next_if(|p| p.level <= level) {
+            pass.execute(m, ucfg, &mut rep);
+        }
+        debug_assert!(
+            ilpc_ir::verify::verify_module(m).is_ok(),
+            "level pipeline broke the IR at {level}: {:?}",
+            ilpc_ir::verify::verify_module(m)
+        );
+        at(level, m, &rep);
+    }
+    rep
+}
+
 /// Apply `level` to `m` (which must be freshly lowered, unoptimized IR).
 pub fn apply_level(m: &mut Module, level: Level, ucfg: &UnrollConfig) -> TransformReport {
-    let mut rep = TransformReport::default();
-    for pass in passes(level) {
-        pass.execute(m, ucfg, &mut rep);
-    }
-    debug_assert!(
-        ilpc_ir::verify::verify_module(m).is_ok(),
-        "level pipeline broke the IR: {:?}",
-        ilpc_ir::verify::verify_module(m)
-    );
-    rep
+    walk_levels(m, &[level], ucfg, |_, _, _| {})
 }
 
 #[cfg(test)]
@@ -316,6 +341,9 @@ mod tests {
             prev = n;
         }
         assert_eq!(passes(Level::Lev6).count(), PASSES.len());
+        // The table is sorted by level, so each level's plan is a prefix of
+        // the next one's: the property `walk_levels` relies on.
+        assert!(PASSES.windows(2).all(|w| w[0].level <= w[1].level));
         // Driving the pass table by hand reproduces apply_level exactly.
         let mut via_table = lower(&dotprod());
         let mut rep_table = TransformReport::default();

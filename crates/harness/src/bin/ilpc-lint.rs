@@ -3,7 +3,7 @@
 //! Usage: ilpc-lint [--quick] [--json] [--verbose] [--scale F]
 //!
 //! Compiles all 40 workloads at every transformation level for issue
-//! widths 1, 4 and 8 (40 × 5 × 3 = 600 artifacts at full size), then runs
+//! widths 1, 4 and 8 (40 × 6 × 3 = 720 artifacts at full size), then runs
 //! the `ilpc-lint` dataflow lints on each compiled module and the static
 //! schedule auditor on its retained list schedules. Every diagnostic is
 //! printed — as text lines, or as JSON lines with `--json` — followed by
@@ -12,7 +12,7 @@
 //! lint-clean, so a nonzero exit means a pass or the scheduler produced
 //! statically illegal code.
 //!
-//! `--quick` audits issue width 4 only (200 artifacts) for CI smoke use.
+//! `--quick` audits issue width 4 only (240 artifacts) for CI smoke use.
 //! Text mode prints errors only unless `--verbose`; JSON mode always
 //! emits every diagnostic.
 

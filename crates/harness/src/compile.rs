@@ -46,35 +46,61 @@ pub struct Compiled {
     pub schedules: Vec<Option<BlockSchedule>>,
 }
 
-fn finish(
-    mut module: Module,
+/// The machine-independent half of a compilation: a transformed,
+/// superblocked module and what the front end did to it. [`compile`] runs
+/// it once per point; the staged paper grid builds one per (workload,
+/// level) from a single level-chain walk and runs only
+/// [`FrontEnd::backend`] per issue width.
+#[derive(Debug, Clone)]
+pub(crate) struct FrontEnd {
+    module: Module,
     shadow: HashMap<VarId, SymId>,
     report: TransformReport,
-    machine: &Machine,
-) -> Compiled {
-    let superblocks = form_superblocks(&mut module, &SuperblockConfig::default());
-    let schedules = schedule_module(&mut module, machine);
-    let regs = ilpc_regalloc::measure(&module.func);
-    let static_insts = module.func.num_insts();
-    Compiled { module, shadow, report, superblocks, regs, static_insts, schedules }
+    superblocks: SuperblockReport,
+}
+
+impl FrontEnd {
+    /// Superblock formation on a transformed module: the last step that
+    /// does not depend on the target machine.
+    pub fn new(
+        mut module: Module,
+        shadow: HashMap<VarId, SymId>,
+        report: TransformReport,
+    ) -> FrontEnd {
+        let superblocks = form_superblocks(&mut module, &SuperblockConfig::default());
+        FrontEnd { module, shadow, report, superblocks }
+    }
+
+    /// The machine-dependent back end: list scheduling and register
+    /// measurement for `machine`.
+    pub fn backend(self, machine: &Machine) -> Compiled {
+        let FrontEnd { mut module, shadow, report, superblocks } = self;
+        let schedules = schedule_module(&mut module, machine);
+        let regs = ilpc_regalloc::measure(&module.func);
+        let static_insts = module.func.num_insts();
+        Compiled { module, shadow, report, superblocks, regs, static_insts, schedules }
+    }
+}
+
+/// The unroller configuration `machine` implies (only its VLEN matters).
+pub(crate) fn unroll_config(machine: &Machine) -> UnrollConfig {
+    UnrollConfig { vlen: machine.vlen, ..Default::default() }
 }
 
 /// Compile `w` at `level` for `machine`.
 pub fn compile(w: &Workload, level: Level, machine: &Machine) -> Compiled {
     let lowered = lower(&w.program);
     let mut module = lowered.module;
-    let ucfg = UnrollConfig { vlen: machine.vlen, ..Default::default() };
-    let report = apply_level(&mut module, level, &ucfg);
-    finish(module, lowered.shadow_syms, report, machine)
+    let report = apply_level(&mut module, level, &unroll_config(machine));
+    FrontEnd::new(module, lowered.shadow_syms, report).backend(machine)
 }
 
 /// Compile `w` with an arbitrary transformation subset (ablation studies).
 pub fn compile_set(w: &Workload, set: &TransformSet, machine: &Machine) -> Compiled {
     let lowered = lower(&w.program);
     let mut module = lowered.module;
-    let ucfg = UnrollConfig { vlen: machine.vlen, ..Default::default() };
-    let report = apply_set(&mut module, set, &ucfg);
-    finish(module, lowered.shadow_syms, report, machine)
+    let report = apply_set(&mut module, set, &unroll_config(machine));
+    FrontEnd::new(module, lowered.shadow_syms, report).backend(machine)
 }
 
 /// Differential-spot-check oracle for `w`: the AST interpreter's final
@@ -150,8 +176,7 @@ pub fn compile_guarded(
     }
 
     let mut module = lowered.module;
-    let ucfg = UnrollConfig { vlen: machine.vlen, ..Default::default() };
-    let report = guarded_apply_level(&mut module, level, &ucfg, &mut guard);
+    let report = guarded_apply_level(&mut module, level, &unroll_config(machine), &mut guard);
 
     let mut superblocks = SuperblockReport::default();
     let kept = guard.step(&mut module, "superblock-formation", |m| {

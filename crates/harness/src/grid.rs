@@ -1,18 +1,22 @@
 //! The evaluation grid: every (loop, level, issue width) combination.
 //!
-//! Points are distributed over worker threads by the work-stealing
-//! scheduler in [`crate::steal`] (per-worker deques, steal-half), which
-//! handles the skewed per-point costs of multi-configuration sweeps; the
-//! original fork-join engine (one shared atomic counter) is retained as
-//! [`run_grid_forkjoin`], the scheduling oracle the differential suite
-//! compares against. Both engines produce an observably identical [`Grid`]:
+//! Work is distributed over worker threads by the work-stealing scheduler
+//! in [`crate::steal`] (per-worker deques, steal-half). Without an
+//! artifact cache, [`run_grid`] is **staged**: one work item per workload
+//! interprets the AST once, lowers once, walks the cumulative level chain
+//! once ([`walk_levels`]), forms superblocks once per level and runs only
+//! the machine-dependent back end per issue width. With a cache it runs one
+//! item per point against the cache. The fork-join engine (one shared
+//! atomic counter, one compile per point) is retained as
+//! [`run_grid_forkjoin`], the oracle the differential suites compare both
+//! paths against. All of them produce an observably identical [`Grid`]:
 //! same points, same cycles, same memory statistics, same typed errors.
 //!
 //! Each point is additionally **fault-isolated**: a panic inside one
 //! point's compile/simulate path is contained with `catch_unwind` and
 //! becomes a typed [`GridError`] in the report, and the result merge
-//! recovers from poisoning — one bad point can never take down the other
-//! 599 or abort the whole sweep.
+//! recovers from poisoning — one bad point can never take down the rest
+//! of the grid or abort the whole sweep.
 //!
 //! Aggregations over the grid ([`Grid::mean_speedup`], [`Grid::mem_stats`],
 //! [`Grid::mean_regs`], [`Grid::hit_rate`]) return an [`Aggregate`] that
@@ -23,14 +27,19 @@
 //! [`Aggregate::partial`] (best-effort value plus visible coverage).
 
 use crate::artifact::ArtifactCache;
-use crate::run::{evaluate, EvalPoint};
+use crate::compile::{unroll_config, FrontEnd};
+use crate::run::{evaluate, simulate_verified, EvalPoint};
 use crate::steal;
-use ilpc_core::level::Level;
+use ilpc_core::level::{walk_levels, Level};
 use ilpc_guard::panic_message;
+use ilpc_ir::interp::{interpret, ExecState};
+use ilpc_ir::lower::lower;
 use ilpc_ir::{Module, Opcode};
 use ilpc_machine::{Machine, MemConfig};
 use ilpc_mem::MemStats;
+use ilpc_sim::decode;
 use ilpc_workloads::{build_all, Workload, WorkloadMeta};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,8 +64,10 @@ pub struct GridConfig {
     pub mem: MemConfig,
     /// Deliberately break one point (fault drills and tests only).
     pub sabotage: Option<Sabotage>,
-    /// Shared compile-artifact cache. `None` (the default) compiles per
-    /// point; `Some` reuses compiled + pre-decoded artifacts and reference
+    /// Shared compile-artifact cache. `None` (the default) runs the staged
+    /// grid: each workload's front end is built once and shared by all of
+    /// its points, nothing outlives the grid. `Some` evaluates per point,
+    /// reusing compiled + pre-decoded artifacts and reference
     /// executions across points — and across *grids*, which is the payoff:
     /// a multi-memory-config sweep passes one cache to every `run_grid`
     /// call and compiles each (workload, level, compile key) exactly once.
@@ -455,6 +466,21 @@ fn corrupt_arithmetic(m: &mut Module) {
     }
 }
 
+/// Whether `sabotage` targets this point: a `Panic` directive fires here,
+/// a `Corrupt` one returns true so the caller corrupts the compiled module.
+fn sabotaged(sabotage: Option<&Sabotage>, w: &Workload, level: Level, width: u32) -> bool {
+    let Some(s) = sabotage else { return false };
+    if s.workload != w.meta.name || s.level != level || s.width != width {
+        return false;
+    }
+    match s.mode {
+        SabotageMode::Panic => {
+            panic!("sabotaged grid point: {} {level} issue-{width}", w.meta.name)
+        }
+        SabotageMode::Corrupt => true,
+    }
+}
+
 /// Evaluate one point, honouring a matching sabotage directive.
 pub(crate) fn eval_point(
     w: &Workload,
@@ -464,21 +490,12 @@ pub(crate) fn eval_point(
     sabotage: Option<&Sabotage>,
     artifacts: Option<&ArtifactCache>,
 ) -> Result<EvalPoint, String> {
-    if let Some(s) = sabotage {
-        if s.workload == w.meta.name && s.level == level && s.width == width {
-            match s.mode {
-                SabotageMode::Panic => {
-                    panic!("sabotaged grid point: {} {level} issue-{width}", w.meta.name)
-                }
-                SabotageMode::Corrupt => {
-                    // Sabotage must never pollute (or be masked by) the
-                    // shared cache: compile privately and corrupt that.
-                    let mut c = crate::compile::compile(w, level, machine);
-                    corrupt_arithmetic(&mut c.module);
-                    return crate::run::run_compiled(w, &c, machine);
-                }
-            }
-        }
+    if sabotaged(sabotage, w, level, width) {
+        // Sabotage must never pollute (or be masked by) the shared cache:
+        // compile privately and corrupt that.
+        let mut c = crate::compile::compile(w, level, machine);
+        corrupt_arithmetic(&mut c.module);
+        return crate::run::run_compiled(w, &c, machine);
     }
     match artifacts {
         Some(cache) => cache.evaluate(w, level, machine),
@@ -505,12 +522,15 @@ pub(crate) fn eval_point_contained(
     }
 }
 
+/// One grid point's coordinates and outcome.
+pub(crate) type Outcome = ((String, Level, u32), Result<EvalPoint, PointError>);
+
 /// Assemble a [`Grid`] from per-point outcomes.
 pub(crate) fn collect_grid(
     meta: Vec<WorkloadMeta>,
     levels: Vec<Level>,
     widths: Vec<u32>,
-    outcomes: impl IntoIterator<Item = ((String, Level, u32), Result<EvalPoint, PointError>)>,
+    outcomes: impl IntoIterator<Item = Outcome>,
 ) -> Grid {
     let mut points: HashMap<String, HashMap<(Level, u32), EvalPoint>> = HashMap::new();
     let mut errors = Vec::new();
@@ -525,60 +545,139 @@ pub(crate) fn collect_grid(
     Grid { meta, levels, widths, points, errors }
 }
 
-/// Run the grid on the work-stealing engine.
+/// One work item per point, in (workload, level, width) order.
+fn point_items(workloads: usize, levels: &[Level], widths: &[u32]) -> Vec<(usize, Level, u32)> {
+    let mut items = Vec::with_capacity(workloads * levels.len() * widths.len());
+    for wi in 0..workloads {
+        for &level in levels {
+            for &width in widths {
+                items.push((wi, level, width));
+            }
+        }
+    }
+    items
+}
+
+/// Every point of one workload, staged: the reference execution, lowering
+/// and the level chain run once, superblock formation once per level, and
+/// only the back end, decode and simulation once per point. Each point is
+/// checked against the shared reference exactly as [`evaluate`] checks it.
+///
+/// Containment matches per-point compilation. A sabotaged or panicking
+/// point fails alone; a superblock panic fails every point of its level;
+/// a panic while lowering or advancing the chain fails every point at or
+/// above the level being built. Outcomes come in (level as requested,
+/// width) order.
+fn eval_workload_staged(
+    w: &Workload,
+    levels: &[Level],
+    machines: &[(u32, Machine)],
+    sabotage: Option<&Sabotage>,
+) -> Vec<Outcome> {
+    // Built on first use, so a panicking interpreter fails each point the
+    // way it does under per-point evaluation.
+    let reference: OnceCell<ExecState> = OnceCell::new();
+    let point = |level: Level, width: u32, machine: &Machine, fe: Result<&FrontEnd, &str>| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let corrupt = sabotaged(sabotage, w, level, width);
+            let fe = fe.map_err(|msg| PointError::Panic(msg.to_string()))?;
+            let mut c = fe.clone().backend(machine);
+            if corrupt {
+                corrupt_arithmetic(&mut c.module);
+            }
+            let decoded = decode(&c.module, machine);
+            let reference = reference.get_or_init(|| interpret(&w.program, &w.init));
+            simulate_verified(w, &c, &decoded, reference, machine).map_err(PointError::Eval)
+        }))
+        .unwrap_or_else(|payload| Err(PointError::Panic(panic_message(payload))))
+    };
+
+    // One slot per (requested level, width), in request order.
+    let nw = machines.len();
+    let mut slots: Vec<Option<Result<EvalPoint, PointError>>> = vec![None; levels.len() * nw];
+    // The grid has no VLEN axis: every machine shares the first's.
+    let ucfg = unroll_config(&machines[0].1);
+    let walked = catch_unwind(AssertUnwindSafe(|| {
+        let lowered = lower(&w.program);
+        let mut chain = lowered.module;
+        walk_levels(&mut chain, levels, &ucfg, |level, module, report| {
+            let fe = catch_unwind(AssertUnwindSafe(|| {
+                FrontEnd::new(module.clone(), lowered.shadow_syms.clone(), report.clone())
+            }))
+            .map_err(panic_message);
+            let li = levels.iter().position(|&l| l == level).expect("a requested level");
+            for (k, (width, machine)) in machines.iter().enumerate() {
+                let r = point(level, *width, machine, fe.as_ref().map_err(String::as_str));
+                slots[li * nw + k] = Some(r);
+            }
+        });
+    }));
+    if let Err(payload) = walked {
+        let msg = panic_message(payload);
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if slot.is_none() {
+                let (width, machine) = &machines[i % nw];
+                *slot = Some(point(levels[i / nw], *width, machine, Err(&msg)));
+            }
+        }
+    }
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let key = (w.meta.name.to_string(), levels[i / nw], machines[i % nw].0);
+            (key, r.expect("every slot filled"))
+        })
+        .collect()
+}
+
+/// Run the grid on the work-stealing engine: staged per workload without
+/// an artifact cache, per point against the cache with one.
 pub fn run_grid(cfg: &GridConfig) -> Result<Grid, GridConfigError> {
     let (levels, widths) = validate_axes(cfg.scale, &cfg.levels, &cfg.widths)?;
     let workloads: Vec<Workload> = build_all(cfg.scale);
     let meta: Vec<WorkloadMeta> = workloads.iter().map(|w| w.meta.clone()).collect();
+    let threads = cfg.threads.max(1);
+    let sabotage = cfg.sabotage.as_ref();
 
-    // Work items: (workload idx, level, width).
-    let mut items: Vec<(usize, Level, u32)> = Vec::new();
-    for (i, _) in workloads.iter().enumerate() {
-        for &level in &levels {
-            for &width in &widths {
-                items.push((i, level, width));
-            }
+    let outcomes: Vec<Outcome> = match cfg.artifacts.as_deref() {
+        Some(cache) => {
+            let items = point_items(workloads.len(), &levels, &widths);
+            let (results, _stats) = steal::execute(&items, threads, |_, &(wi, level, width)| {
+                let w = &workloads[wi];
+                let machine = Machine::issue(width).with_mem(cfg.mem);
+                let r = eval_point_contained(w, level, width, &machine, sabotage, Some(cache));
+                ((w.meta.name.to_string(), level, width), r)
+            });
+            results
         }
-    }
+        None => {
+            let machines: Vec<(u32, Machine)> = widths
+                .iter()
+                .map(|&width| (width, Machine::issue(width).with_mem(cfg.mem)))
+                .collect();
+            let (results, _stats) = steal::execute(&workloads, threads, |_, w| {
+                eval_workload_staged(w, &levels, &machines, sabotage)
+            });
+            results.into_iter().flatten().collect()
+        }
+    };
 
-    let (results, _stats) = steal::execute(&items, cfg.threads.max(1), |_, &(wi, level, width)| {
-        let w = &workloads[wi];
-        let machine = Machine::issue(width).with_mem(cfg.mem);
-        let r = eval_point_contained(
-            w,
-            level,
-            width,
-            &machine,
-            cfg.sabotage.as_ref(),
-            cfg.artifacts.as_deref(),
-        );
-        ((w.meta.name.to_string(), level, width), r)
-    });
-
-    Ok(collect_grid(meta, levels, widths, results))
+    Ok(collect_grid(meta, levels, widths, outcomes))
 }
 
 /// Run the grid on the original fork-join engine (one shared atomic work
-/// counter, one item per claim). Retained as the scheduling oracle: the
-/// differential suite and the sweep benchmark prove the work-stealing
-/// engine's [`Grid`] is observably identical to this one.
+/// counter, one item per claim, one compile per point). Retained as the
+/// oracle: the differential suites prove both paths of [`run_grid`] —
+/// staged and cached — produce a [`Grid`] observably identical to this one.
 pub fn run_grid_forkjoin(cfg: &GridConfig) -> Result<Grid, GridConfigError> {
     let (levels, widths) = validate_axes(cfg.scale, &cfg.levels, &cfg.widths)?;
     let workloads: Vec<Workload> = build_all(cfg.scale);
     let meta: Vec<WorkloadMeta> = workloads.iter().map(|w| w.meta.clone()).collect();
-
-    let mut items: Vec<(usize, Level, u32)> = Vec::new();
-    for (i, _) in workloads.iter().enumerate() {
-        for &level in &levels {
-            for &width in &widths {
-                items.push((i, level, width));
-            }
-        }
-    }
+    let items = point_items(workloads.len(), &levels, &widths);
 
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<((String, Level, u32), Result<EvalPoint, PointError>)>> =
-        Mutex::new(Vec::with_capacity(items.len()));
+    let results: Mutex<Vec<Outcome>> = Mutex::new(Vec::with_capacity(items.len()));
 
     std::thread::scope(|scope| {
         for _ in 0..cfg.threads.max(1) {
@@ -623,7 +722,7 @@ mod tests {
     use super::*;
 
     /// A miniature grid end-to-end; the full-scale grid runs in integration
-    /// tests and the figure binaries.
+    /// tests and `report`.
     #[test]
     fn mini_grid_runs_clean() {
         let cfg = GridConfig {
@@ -850,8 +949,31 @@ mod tests {
         assert!(missed_somewhere, "a 1 KiB cache must miss somewhere");
     }
 
+    /// A workload whose lowering panics fails every point with the typed
+    /// panic per-point compilation gives, in the same order: the staged
+    /// path's containment of a front-end panic.
+    #[test]
+    fn staged_front_end_panic_fails_every_point_like_per_point_compiles() {
+        use ilpc_ir::ast::{Expr, Stmt, VarId};
+        let meta = ilpc_workloads::table2().into_iter().find(|m| m.name == "add").unwrap();
+        let mut w = ilpc_workloads::build(&meta, 0.02);
+        w.program.body.push(Stmt::SetScalar(VarId(999), Expr::Var(VarId(999))));
+        let levels = [Level::Lev2, Level::Conv];
+        let machines: Vec<(u32, Machine)> = [1, 8].map(|k| (k, Machine::issue(k))).to_vec();
+        let staged = eval_workload_staged(&w, &levels, &machines, None);
+        let mut per_point = Vec::new();
+        for &level in &levels {
+            for (width, machine) in &machines {
+                let r = eval_point_contained(&w, level, *width, machine, None, None);
+                per_point.push(((w.meta.name.to_string(), level, *width), r));
+            }
+        }
+        assert_eq!(staged, per_point);
+        assert!(staged.iter().all(|(_, r)| matches!(r, Err(PointError::Panic(_)))), "{staged:?}");
+    }
+
     /// Both engines produce observably identical grids on a mini grid;
-    /// the full 600-point differential runs in the integration suite.
+    /// the full-grid differentials run in the integration suites.
     #[test]
     fn engines_agree_on_mini_grid() {
         let cfg = GridConfig {

@@ -1,7 +1,7 @@
 //! # ilpc-harness — experimental evaluation harness
 //!
 //! Drives the full pipeline over the paper's evaluation grid
-//! ({Conv..Lev4} × {issue-1,2,4,8} × 40 loop nests), verifies every run
+//! ({Conv..Lev4, Lev6} × {issue-1,2,4,8} × 40 loop nests), verifies every run
 //! against the AST interpreter, and renders each of the paper's tables and
 //! figures (Tables 1-2, Figures 8-15, the §3.2/§4 summary statistics, and
 //! the §2 worked examples).

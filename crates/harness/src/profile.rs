@@ -13,14 +13,14 @@
 //! and tail duplicates inherit the measured probability of the branch they
 //! were cloned from.
 
-use crate::compile::Compiled;
+use crate::compile::{Compiled, FrontEnd};
 use crate::run::run_compiled;
-use ilpc_core::level::{apply_level, Level};
+use ilpc_core::ablation::{apply_set, TransformSet};
+use ilpc_core::level::{apply_level, Level, TransformReport};
 use ilpc_core::unroll::UnrollConfig;
 use ilpc_ir::lower::lower;
 use ilpc_ir::{Module, Opcode};
 use ilpc_machine::Machine;
-use ilpc_sched::{form_superblocks, schedule_module, SuperblockConfig};
 use ilpc_sim::{memory_from_init, simulate};
 use ilpc_workloads::Workload;
 use std::collections::HashMap;
@@ -105,50 +105,15 @@ pub fn compile_with_profile(
     // Conv first (deterministic: same block ids as the training module).
     apply_level(&mut module, Level::Conv, &UnrollConfig::default());
     apply_profile(&mut module, &profile);
-    // The remaining levels run on the profile-annotated module.
-    if level > Level::Conv {
-        let report = {
-            use ilpc_core::ablation::{apply_set, TransformSet};
-            let mut set = TransformSet::of_level(level);
-            // Conv already ran; apply_set re-runs it harmlessly
-            // (idempotent on optimized code).
-            let _ = &mut set;
-            apply_set(&mut module, &set, &UnrollConfig::default())
-        };
-        let superblocks =
-            form_superblocks(&mut module, &SuperblockConfig::default());
-        let schedules = schedule_module(&mut module, machine);
-        let regs = ilpc_regalloc::measure(&module.func);
-        let static_insts = module.func.num_insts();
-        return Ok((
-            Compiled {
-                module,
-                shadow: lowered.shadow_syms,
-                report,
-                superblocks,
-                regs,
-                static_insts,
-                schedules,
-            },
-            profile,
-        ));
-    }
-    let superblocks = form_superblocks(&mut module, &SuperblockConfig::default());
-    let schedules = schedule_module(&mut module, machine);
-    let regs = ilpc_regalloc::measure(&module.func);
-    let static_insts = module.func.num_insts();
-    Ok((
-        Compiled {
-            module,
-            shadow: lowered.shadow_syms,
-            report: Default::default(),
-            superblocks,
-            regs,
-            static_insts,
-            schedules,
-        },
-        profile,
-    ))
+    // The remaining levels run on the profile-annotated module. Conv
+    // already ran; apply_set re-runs it harmlessly (idempotent on
+    // optimized code).
+    let report = if level > Level::Conv {
+        apply_set(&mut module, &TransformSet::of_level(level), &UnrollConfig::default())
+    } else {
+        TransformReport::default()
+    };
+    Ok((FrontEnd::new(module, lowered.shadow_syms, report).backend(machine), profile))
 }
 
 /// Evaluate a workload with profile-driven compilation.

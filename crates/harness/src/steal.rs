@@ -1,7 +1,7 @@
 //! Work-stealing task scheduler for evaluation sweeps.
 //!
 //! The fork-join engine the grid shipped with (one shared atomic counter,
-//! one item per claim) is fine for the paper's 600-point grid, but the
+//! one item per claim) is fine for the paper's 960-point grid, but the
 //! scenario spaces the harness is growing toward — issue rates × latency
 //! tables × cache configs × levels over thousands of generated loops —
 //! have two properties that punish a central counter:

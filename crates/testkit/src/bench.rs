@@ -89,6 +89,11 @@ impl Harness {
         self.run(label, self.iters, Some(elems), f);
     }
 
+    /// Throughput benchmark with an explicit iteration count (slow benches).
+    pub fn bench_n_elems<T>(&mut self, label: &str, iters: u32, elems: u64, f: impl FnMut() -> T) {
+        self.run(label, iters.min(self.iters), Some(elems), f);
+    }
+
     fn run<T>(
         &mut self,
         label: &str,

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Bench regression gate: re-run the grid bench and fail if simulator
-# throughput (cycles/sec) regresses more than the tolerance against the
+# Bench regression gate: re-run the grid bench and fail if grid-point or
+# simulator throughput regresses more than the tolerance against the
 # committed BENCH_grid.json baseline.
 #
 # Every bench entry with an element count present in BOTH the committed
 # baseline and the fresh run is compared by rate = elems / median_ns
-# (`grid/wall` has no element count and is tracked, not gated). The
-# committed file is restored afterwards, so the working tree stays clean.
+# (`grid/wall` counts grid points, the `*/sim_cycles` entries simulated
+# cycles). The committed file is restored afterwards, so the working tree
+# stays clean.
 #
 #   ILPC_BENCH_TOLERANCE  maximum allowed regression, default 0.25 (25 %).
 #                         The bench host is a single shared vCPU with
@@ -44,7 +45,7 @@ for name in sorted(old.keys() & new.keys()):
     r_old, r_new = rate(old[name]), rate(new[name])
     ratio = r_new / r_old
     verdict = "ok" if ratio >= 1.0 - tol else "REGRESSED"
-    print(f"  {name:32s} {r_old*1e3:10.2f} -> {r_new*1e3:10.2f} Melem/s "
+    print(f"  {name:32s} {r_old*1e3:10.4g} -> {r_new*1e3:10.4g} Melem/s "
           f"(x{ratio:.2f}) {verdict}")
     if ratio < 1.0 - tol:
         failed.append(name)

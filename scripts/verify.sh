@@ -48,7 +48,7 @@ cargo test -q --offline
 
 echo "== EXPERIMENTS.md drift (report --scale 1.0) =="
 # Every block fenced as ```report in EXPERIMENTS.md must be verbatim output
-# of the full-scale report (~1.5 s): a number that moves in the code must
+# of the full-scale report (~0.6 s): a number that moves in the code must
 # move in the document too. The report itself exits nonzero on any
 # differential mismatch.
 report_out=$(mktemp)

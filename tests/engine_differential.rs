@@ -5,7 +5,7 @@
 //! tree-walking interpreter (`ilpc_sim::reference`, the executable
 //! specification) on *every observable*: cycle count, dynamic instruction
 //! count, final memory image, branch profile, and memory-hierarchy
-//! statistics — across the full 40-workload × 5-level × 3-width grid,
+//! statistics — across the full 40-workload × 6-level × 3-width grid,
 //! under perfect memory and under a finite cache (whose extra-latency
 //! callbacks are order-sensitive, so cycle identity here also proves the
 //! engines issue accesses in the same order). Structural corruption must

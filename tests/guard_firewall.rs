@@ -6,8 +6,8 @@
 //!    IR is byte-identical to the bare pipeline — the firewall changes
 //!    nothing unless something is wrong.
 //! 2. **Grid isolation**: one deliberately-faulted point in the full
-//!    600-point evaluation grid degrades to a typed error while the other
-//!    599 points complete.
+//!    720-point evaluation grid degrades to a typed error while the other
+//!    719 points complete.
 //! 3. **No silent escapes**: a deterministic seeded fault campaign never
 //!    produces wrong architectural results without a flag.
 
@@ -55,8 +55,8 @@ fn guarded_compile_is_byte_identical_on_healthy_input() {
     }
 }
 
-/// The full 40 × 5 × 3 = 600-point grid with one sabotaged point: the
-/// fault becomes a typed error and the remaining 599 points complete.
+/// The full 40 × 6 × 3 = 720-point grid with one sabotaged point: the
+/// fault becomes a typed error and the remaining 719 points complete.
 #[test]
 fn full_grid_survives_a_faulted_point() {
     let levels = Level::ALL.to_vec();
@@ -86,7 +86,7 @@ fn full_grid_survives_a_faulted_point() {
         "{err}"
     );
 
-    // The other 599 points all completed.
+    // The other 719 points all completed.
     let mut present = 0;
     for m in &grid.meta {
         for &level in &levels {

@@ -5,7 +5,7 @@
 //! dynamic-only below — and the declaration is enforced in both
 //! directions, so the mapping can never silently rot.
 //!
-//! Also pins the healthy-pipeline contract the 600-point grid audit
+//! Also pins the healthy-pipeline contract the 720-point grid audit
 //! relies on: compiled artifacts at every level are free of
 //! error-severity lints, their schedules audit clean, and every
 //! trip-preserving pass-delta over the healthy pipeline is accepted.
