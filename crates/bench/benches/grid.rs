@@ -15,7 +15,7 @@
 
 use ilpc_core::level::Level;
 use ilpc_harness::compile::compile;
-use ilpc_harness::grid::{run_grid, run_grid_forkjoin, GridConfig};
+use ilpc_harness::grid::{run_grid, GridConfig};
 use ilpc_harness::sweep::{run_sweep, Scenario, SweepConfig};
 use ilpc_harness::ArtifactCache;
 use ilpc_machine::{CacheParams, Machine, MemConfig};
@@ -137,16 +137,13 @@ fn bench_artifact_sweep(h: &mut Harness) {
     );
 }
 
-fn bench_sweep_engines(h: &mut Harness) {
+fn bench_skewed_sweep(h: &mut Harness) {
     // Skewed multi-config sweep: one cheap scenario (perfect memory) and
     // one expensive scenario (a tiny cache with long miss latencies), so
-    // per-point costs are deliberately unbalanced. The fork-join entry
-    // models the legacy approach — one `run_grid_forkjoin` barrier per
-    // scenario; the work-stealing entry evaluates the identical points
-    // through `run_sweep`'s single pool. Both share one pre-warmed
-    // artifact cache so the measured quantity is scheduling + simulation,
-    // and `elems` counts evaluated points, so `elem/s` is point
-    // throughput and directly comparable across the two entries.
+    // per-point costs are deliberately unbalanced, evaluated through
+    // `run_sweep`'s single work-stealing pool. A pre-warmed artifact
+    // cache makes the measured quantity scheduling + simulation, and
+    // `elems` counts evaluated points, so `elem/s` is point throughput.
     let scale = 0.02;
     let levels = vec![Level::Conv, Level::Lev2, Level::Lev4];
     let widths = vec![1u32, 8];
@@ -155,7 +152,7 @@ fn bench_sweep_engines(h: &mut Harness) {
     let points = (40 * levels.len() * widths.len() * scenarios.len()) as u64;
 
     let artifacts = Arc::new(ArtifactCache::new());
-    // Warm the cache (and check the two paths agree) before timing.
+    // Warm the cache before timing.
     let warm = run_sweep(&SweepConfig {
         scale,
         levels: levels.clone(),
@@ -168,25 +165,6 @@ fn bench_sweep_engines(h: &mut Harness) {
     .expect("sweep config rejected");
     assert_eq!(warm.total_errors(), 0);
 
-    h.bench_elems("sweep/forkjoin", points, || {
-        let mut completed = 0usize;
-        for s in &scenarios {
-            let g = run_grid_forkjoin(&GridConfig {
-                scale,
-                levels: levels.clone(),
-                widths: widths.clone(),
-                threads: 4,
-                mem: s.mem,
-                sabotage: None,
-                artifacts: Some(Arc::clone(&artifacts)),
-            })
-            .expect("grid config rejected");
-            assert!(g.errors.is_empty());
-            completed += g.completed();
-        }
-        assert_eq!(completed as u64, points);
-        completed
-    });
     h.bench_elems("sweep/worksteal", points, || {
         let sweep = run_sweep(&SweepConfig {
             scale,
@@ -249,7 +227,7 @@ fn main() {
     bench_grid_wall(&mut h);
     bench_sim_throughput(&mut h);
     bench_artifact_sweep(&mut h);
-    bench_sweep_engines(&mut h);
+    bench_skewed_sweep(&mut h);
     bench_vlen_sweep(&mut h);
     h.finish();
 }

@@ -11,6 +11,7 @@
 
 use ilpc_core::ablation::TransformSet;
 use ilpc_core::level::Level;
+use ilpc_harness::cli::scale_or_exit;
 use ilpc_harness::compile::compile_set;
 use ilpc_harness::run::{evaluate_set, run_compiled};
 use ilpc_machine::Machine;
@@ -28,11 +29,8 @@ fn mean_speedup(workloads: &[Workload], bases: &[u64], set: &TransformSet) -> f6
 }
 
 fn main() {
-    let mut scale = 1.0f64;
     let args: Vec<String> = std::env::args().collect();
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
+    let scale = scale_or_exit(&args, 1.0, "usage: ablation [--scale F]");
     let workloads = build_all(scale);
     eprintln!("measuring baselines...");
     let machine1 = Machine::base();

@@ -19,31 +19,19 @@
 
 use ilpc_core::level::Level;
 use ilpc_harness::artifact::ArtifactCache;
-use ilpc_harness::grid::{run_grid, Grid, GridConfig};
+use ilpc_harness::cli::scale_or_exit;
+use ilpc_harness::grid::Grid;
+use ilpc_harness::sweep::{run_sweep, Scenario, SweepConfig};
 use ilpc_machine::{CacheParams, MemConfig};
 use std::sync::Arc;
 
-fn grid_for(
-    mem: MemConfig,
-    scale: f64,
-    levels: &[Level],
-    widths: &[u32],
-    artifacts: &Arc<ArtifactCache>,
-) -> Grid {
-    let grid = run_grid(&GridConfig {
-        scale,
-        levels: levels.to_vec(),
-        widths: widths.to_vec(),
-        mem,
-        artifacts: Some(Arc::clone(artifacts)),
-        ..GridConfig::default()
-    })
-    .expect("grid config rejected");
+/// Acceptance invariant: a clean grid with consistent cache statistics on
+/// every point.
+fn check_stats(grid: &Grid) {
     assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
-    // Acceptance invariant: consistent cache statistics on every point.
     for m in &grid.meta {
-        for &level in levels {
-            for &width in widths {
+        for &level in &grid.levels {
+            for &width in &grid.widths {
                 let s = grid.point(m.name, level, width).unwrap().mem;
                 assert_eq!(
                     s.accesses(),
@@ -54,7 +42,6 @@ fn grid_for(
             }
         }
     }
-    grid
 }
 
 /// Mean speedup of `(level, width)` in `g` over the shared perfect-memory
@@ -71,10 +58,7 @@ fn mean_speedup(g: &Grid, base: &Grid, level: Level, width: u32) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut scale = 0.25f64;
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
+    let scale = scale_or_exit(&args, 0.25, "usage: cache-sensitivity [--scale F] [--quick]");
     let quick = args.iter().any(|a| a == "--quick");
 
     let levels: Vec<Level> = if quick {
@@ -96,9 +80,9 @@ fn main() {
     println!("baseline: issue-1 Conv, perfect memory; scale {scale}");
     println!();
 
-    // Every grid carries the (Conv, issue-1) baseline axes: `run_grid`
+    // Every grid carries the (Conv, issue-1) baseline axes: the sweep
     // validates them, and a self-contained grid is what lets the perfect
-    // and cached runs share one artifact cache with a clean invariant.
+    // and cached scenarios share one artifact cache with a clean invariant.
     let mut eval_widths = widths.clone();
     if !eval_widths.contains(&1) {
         eval_widths.push(1);
@@ -107,11 +91,29 @@ fn main() {
     if !eval_levels.contains(&Level::Conv) {
         eval_levels.push(Level::Conv);
     }
-    // One shared artifact cache across the whole sweep: compilation depends
-    // only on the machine's compile key, so every memory configuration
-    // below reuses the compiled + pre-decoded artifacts built here.
+    // One sweep: the perfect-memory scenario first, then one per cache
+    // configuration. Compilation depends only on the machine's compile
+    // key, so every scenario shares the compiled + pre-decoded artifacts
+    // of one explicit cache.
+    let mut scenarios = vec![Scenario::mem(MemConfig::Perfect)];
+    for &(_, sets) in sizes {
+        for &lat in miss_lats {
+            let params = CacheParams::new(4, sets, 2, lat, lat);
+            scenarios.push(Scenario::mem(MemConfig::Cache(params)));
+        }
+    }
     let artifacts = Arc::new(ArtifactCache::new());
-    let perfect = grid_for(MemConfig::Perfect, scale, &eval_levels, &eval_widths, &artifacts);
+    let sweep = run_sweep(&SweepConfig {
+        scale,
+        levels: eval_levels.clone(),
+        widths: eval_widths.clone(),
+        scenarios,
+        artifacts: Some(Arc::clone(&artifacts)),
+        ..SweepConfig::default()
+    })
+    .expect("sweep config rejected");
+    sweep.grids.iter().for_each(check_stats);
+    let perfect = &sweep.grids[0];
 
     let header = |tag: &str| {
         print!("{:<30} {:>5} {:>7}", tag, "width", "hit%");
@@ -124,17 +126,18 @@ fn main() {
     for &width in &widths {
         print!("{:<30} {:>5} {:>7}", "perfect (upper bound)", width, "100.0");
         for &level in &levels {
-            print!(" {:>6.2}x", mean_speedup(&perfect, &perfect, level, width));
+            print!(" {:>6.2}x", mean_speedup(perfect, perfect, level, width));
         }
         println!();
     }
     println!();
 
+    // The cached grids, in the order their scenarios were pushed above.
+    let mut cached = sweep.grids[1..].iter();
     for &(size_name, sets) in sizes {
         for &lat in miss_lats {
             let params = CacheParams::new(4, sets, 2, lat, lat);
-            let g =
-                grid_for(MemConfig::Cache(params), scale, &eval_levels, &eval_widths, &artifacts);
+            let g = cached.next().expect("one grid per cache scenario");
             let tag = format!("L1 {size_name} ({}) m{lat}", params.name());
             for &width in &widths {
                 let hit = g
@@ -143,11 +146,11 @@ fn main() {
                     .expect("clean grid must aggregate completely");
                 print!("{:<30} {:>5} {:>7.1}", tag, width, hit * 100.0);
                 for &level in &levels {
-                    print!(" {:>6.2}x", mean_speedup(&g, &perfect, level, width));
+                    print!(" {:>6.2}x", mean_speedup(g, perfect, level, width));
                 }
                 let top = *levels.last().unwrap();
-                let retained = mean_speedup(&g, &perfect, top, width)
-                    / mean_speedup(&perfect, &perfect, top, width);
+                let retained = mean_speedup(g, perfect, top, width)
+                    / mean_speedup(perfect, perfect, top, width);
                 println!("   ({:.0}%)", retained * 100.0);
             }
         }
@@ -156,7 +159,7 @@ fn main() {
 
     // The sweep varied only the memory hierarchy, so every (workload,
     // level, width) must have been compiled exactly once — the remaining
-    // grid passes are pure artifact-cache hits. This is the acceptance
+    // scenarios are pure artifact-cache hits. This is the acceptance
     // invariant for the compile-artifact cache; fail loudly if it slips.
     let c = artifacts.counters();
     let distinct = 40 * eval_levels.len() * eval_widths.len();

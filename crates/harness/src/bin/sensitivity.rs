@@ -9,16 +9,14 @@
 //! ```
 
 use ilpc_core::level::Level;
+use ilpc_harness::cli::scale_or_exit;
 use ilpc_harness::run::evaluate;
 use ilpc_machine::Machine;
 use ilpc_workloads::build_all;
 
 fn main() {
-    let mut scale = 1.0f64;
     let args: Vec<String> = std::env::args().collect();
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
+    let scale = scale_or_exit(&args, 1.0, "usage: sensitivity [--scale F]");
     let workloads = build_all(scale);
 
     let slow_loads = |cycles: u32| {

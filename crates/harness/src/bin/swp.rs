@@ -20,6 +20,7 @@
 
 use ilpc_analysis::LoopForest;
 use ilpc_core::level::Level;
+use ilpc_harness::cli::scale_or_exit;
 use ilpc_harness::compile::compile;
 use ilpc_machine::Machine;
 use ilpc_sched::modulo::{modulo_schedule, pipelinable_loops};
@@ -27,11 +28,8 @@ use ilpc_sched::schedule_insts;
 use ilpc_workloads::build_all;
 
 fn main() {
-    let mut scale = 1.0f64;
     let args: Vec<String> = std::env::args().collect();
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
+    let scale = scale_or_exit(&args, 1.0, "usage: swp [--scale F]");
     let machine = Machine::issue(8);
 
     println!(

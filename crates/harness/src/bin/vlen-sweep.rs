@@ -25,6 +25,7 @@
 //! deterministic for a given argument set.
 
 use ilpc_core::level::Level;
+use ilpc_harness::cli::scale_or_exit;
 use ilpc_harness::compile::compile;
 use ilpc_harness::sweep::{run_sweep, Scenario, Sweep, SweepConfig};
 use ilpc_machine::Machine;
@@ -33,10 +34,8 @@ use ilpc_workloads::build_all;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let mut scale = if quick { 0.05 } else { 0.25f64 };
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
+    let default_scale = if quick { 0.05 } else { 0.25 };
+    let scale = scale_or_exit(&args, default_scale, "usage: vlen-sweep [--scale F] [--quick]");
     let vlens: Vec<u32> = if quick { vec![1, 4] } else { vec![1, 2, 4, 8] };
     let widths: Vec<u32> = if quick { vec![1, 8] } else { vec![1, 4, 8] };
     let levels = vec![Level::Conv, Level::Lev4, Level::Lev6];

@@ -1,16 +1,15 @@
 //! The evaluation grid: every (loop, level, issue width) combination.
 //!
 //! Work is distributed over worker threads by the work-stealing scheduler
-//! in [`crate::steal`] (per-worker deques, steal-half). Without an
-//! artifact cache, [`run_grid`] is **staged**: one work item per workload
-//! interprets the AST once, lowers once, walks the cumulative level chain
-//! once ([`walk_levels`]), forms superblocks once per level and runs only
-//! the machine-dependent back end per issue width. With a cache it runs one
-//! item per point against the cache. The fork-join engine (one shared
-//! atomic counter, one compile per point) is retained as
-//! [`run_grid_forkjoin`], the oracle the differential suites compare both
-//! paths against. All of them produce an observably identical [`Grid`]:
-//! same points, same cycles, same memory statistics, same typed errors.
+//! in [`crate::steal`] (per-worker deques, steal-half). [`run_grid`] is
+//! **staged**: one work item per workload interprets the AST once, lowers
+//! once, walks the cumulative level chain once ([`walk_levels`]), forms
+//! superblocks once per level and runs only the machine-dependent back end
+//! per issue width. Per-point evaluation against an [`ArtifactCache`] is
+//! the sweep engine's job ([`crate::sweep::run_sweep`]); a one-scenario
+//! sweep is the oracle the differential suites hold the staged grid to:
+//! same points, same cycles, same memory statistics, same typed errors in
+//! the same order.
 //!
 //! Each point is additionally **fault-isolated**: a panic inside one
 //! point's compile/simulate path is contained with `catch_unwind` and
@@ -28,7 +27,7 @@
 
 use crate::artifact::ArtifactCache;
 use crate::compile::{unroll_config, FrontEnd};
-use crate::run::{evaluate, simulate_verified, EvalPoint};
+use crate::run::{simulate_verified, EvalPoint};
 use crate::steal;
 use ilpc_core::level::{walk_levels, Level};
 use ilpc_guard::panic_message;
@@ -43,10 +42,11 @@ use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
-/// Grid configuration.
+/// Grid configuration. Each workload's front end is built once and shared
+/// by all of its points; nothing outlives the grid. To reuse compiled
+/// artifacts across memory configurations, run one
+/// [`crate::sweep::run_sweep`] over them instead.
 #[derive(Debug, Clone)]
 pub struct GridConfig {
     /// Trip-count scale (1.0 = the paper's Table 2 counts).
@@ -64,16 +64,6 @@ pub struct GridConfig {
     pub mem: MemConfig,
     /// Deliberately break one point (fault drills and tests only).
     pub sabotage: Option<Sabotage>,
-    /// Shared compile-artifact cache. `None` (the default) runs the staged
-    /// grid: each workload's front end is built once and shared by all of
-    /// its points, nothing outlives the grid. `Some` evaluates per point,
-    /// reusing compiled + pre-decoded artifacts and reference
-    /// executions across points — and across *grids*, which is the payoff:
-    /// a multi-memory-config sweep passes one cache to every `run_grid`
-    /// call and compiles each (workload, level, compile key) exactly once.
-    /// The cache's workload-name keying binds it to one catalog and scale
-    /// (see [`ArtifactCache`]); sabotaged points bypass it entirely.
-    pub artifacts: Option<Arc<ArtifactCache>>,
 }
 
 impl Default for GridConfig {
@@ -87,7 +77,6 @@ impl Default for GridConfig {
                 .unwrap_or(4),
             mem: MemConfig::Perfect,
             sabotage: None,
-            artifacts: None,
         }
     }
 }
@@ -143,6 +132,15 @@ impl fmt::Display for GridConfigError {
 
 impl std::error::Error for GridConfigError {}
 
+/// The one rule for a trip-count scale: finite and > 0.
+pub(crate) fn check_scale(scale: f64) -> Result<f64, GridConfigError> {
+    if scale.is_finite() && scale > 0.0 {
+        Ok(scale)
+    } else {
+        Err(GridConfigError::BadScale(scale))
+    }
+}
+
 /// Validate grid axes shared by [`run_grid`] and the sweep engine:
 /// returns the deduplicated (order-preserving) levels and widths, or the
 /// first typed configuration error.
@@ -151,9 +149,7 @@ pub(crate) fn validate_axes(
     levels: &[Level],
     widths: &[u32],
 ) -> Result<(Vec<Level>, Vec<u32>), GridConfigError> {
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(GridConfigError::BadScale(scale));
-    }
+    check_scale(scale)?;
     if levels.is_empty() {
         return Err(GridConfigError::NoLevels);
     }
@@ -481,14 +477,15 @@ fn sabotaged(sabotage: Option<&Sabotage>, w: &Workload, level: Level, width: u32
     }
 }
 
-/// Evaluate one point, honouring a matching sabotage directive.
+/// Evaluate one point against the artifact cache, honouring a matching
+/// sabotage directive.
 pub(crate) fn eval_point(
     w: &Workload,
     level: Level,
     width: u32,
     machine: &Machine,
     sabotage: Option<&Sabotage>,
-    artifacts: Option<&ArtifactCache>,
+    artifacts: &ArtifactCache,
 ) -> Result<EvalPoint, String> {
     if sabotaged(sabotage, w, level, width) {
         // Sabotage must never pollute (or be masked by) the shared cache:
@@ -497,21 +494,18 @@ pub(crate) fn eval_point(
         corrupt_arithmetic(&mut c.module);
         return crate::run::run_compiled(w, &c, machine);
     }
-    match artifacts {
-        Some(cache) => cache.evaluate(w, level, machine),
-        None => evaluate(w, level, machine),
-    }
+    artifacts.evaluate(w, level, machine)
 }
 
-/// Evaluate one point with per-point panic containment: the shared
-/// fault-isolation wrapper of both engines and the sweep.
+/// Evaluate one point with per-point panic containment: the sweep's
+/// fault-isolation wrapper.
 pub(crate) fn eval_point_contained(
     w: &Workload,
     level: Level,
     width: u32,
     machine: &Machine,
     sabotage: Option<&Sabotage>,
-    artifacts: Option<&ArtifactCache>,
+    artifacts: &ArtifactCache,
 ) -> Result<EvalPoint, PointError> {
     match catch_unwind(AssertUnwindSafe(|| {
         eval_point(w, level, width, machine, sabotage, artifacts)
@@ -545,23 +539,11 @@ pub(crate) fn collect_grid(
     Grid { meta, levels, widths, points, errors }
 }
 
-/// One work item per point, in (workload, level, width) order.
-fn point_items(workloads: usize, levels: &[Level], widths: &[u32]) -> Vec<(usize, Level, u32)> {
-    let mut items = Vec::with_capacity(workloads * levels.len() * widths.len());
-    for wi in 0..workloads {
-        for &level in levels {
-            for &width in widths {
-                items.push((wi, level, width));
-            }
-        }
-    }
-    items
-}
-
 /// Every point of one workload, staged: the reference execution, lowering
 /// and the level chain run once, superblock formation once per level, and
 /// only the back end, decode and simulation once per point. Each point is
-/// checked against the shared reference exactly as [`evaluate`] checks it.
+/// checked against the shared reference exactly as
+/// [`crate::run::evaluate`] checks it.
 ///
 /// Containment matches per-point compilation. A sabotaged or panicking
 /// point fails alone; a superblock panic fails every point of its level;
@@ -631,90 +613,19 @@ fn eval_workload_staged(
         .collect()
 }
 
-/// Run the grid on the work-stealing engine: staged per workload without
-/// an artifact cache, per point against the cache with one.
+/// Run the grid on the work-stealing engine, one staged item per workload.
 pub fn run_grid(cfg: &GridConfig) -> Result<Grid, GridConfigError> {
     let (levels, widths) = validate_axes(cfg.scale, &cfg.levels, &cfg.widths)?;
     let workloads: Vec<Workload> = build_all(cfg.scale);
     let meta: Vec<WorkloadMeta> = workloads.iter().map(|w| w.meta.clone()).collect();
-    let threads = cfg.threads.max(1);
-    let sabotage = cfg.sabotage.as_ref();
-
-    let outcomes: Vec<Outcome> = match cfg.artifacts.as_deref() {
-        Some(cache) => {
-            let items = point_items(workloads.len(), &levels, &widths);
-            let (results, _stats) = steal::execute(&items, threads, |_, &(wi, level, width)| {
-                let w = &workloads[wi];
-                let machine = Machine::issue(width).with_mem(cfg.mem);
-                let r = eval_point_contained(w, level, width, &machine, sabotage, Some(cache));
-                ((w.meta.name.to_string(), level, width), r)
-            });
-            results
-        }
-        None => {
-            let machines: Vec<(u32, Machine)> = widths
-                .iter()
-                .map(|&width| (width, Machine::issue(width).with_mem(cfg.mem)))
-                .collect();
-            let (results, _stats) = steal::execute(&workloads, threads, |_, w| {
-                eval_workload_staged(w, &levels, &machines, sabotage)
-            });
-            results.into_iter().flatten().collect()
-        }
-    };
-
-    Ok(collect_grid(meta, levels, widths, outcomes))
-}
-
-/// Run the grid on the original fork-join engine (one shared atomic work
-/// counter, one item per claim, one compile per point). Retained as the
-/// oracle: the differential suites prove both paths of [`run_grid`] —
-/// staged and cached — produce a [`Grid`] observably identical to this one.
-pub fn run_grid_forkjoin(cfg: &GridConfig) -> Result<Grid, GridConfigError> {
-    let (levels, widths) = validate_axes(cfg.scale, &cfg.levels, &cfg.widths)?;
-    let workloads: Vec<Workload> = build_all(cfg.scale);
-    let meta: Vec<WorkloadMeta> = workloads.iter().map(|w| w.meta.clone()).collect();
-    let items = point_items(workloads.len(), &levels, &widths);
-
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Outcome>> = Mutex::new(Vec::with_capacity(items.len()));
-
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.threads.max(1) {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= items.len() {
-                        break;
-                    }
-                    let (wi, level, width) = items[k];
-                    let w = &workloads[wi];
-                    let machine = Machine::issue(width).with_mem(cfg.mem);
-                    let r = eval_point_contained(
-                        w,
-                        level,
-                        width,
-                        &machine,
-                        cfg.sabotage.as_ref(),
-                        cfg.artifacts.as_deref(),
-                    );
-                    local.push(((w.meta.name.to_string(), level, width), r));
-                }
-                // A sibling worker that panicked outside the contained
-                // region poisons the mutex; the data is still consistent
-                // (extend is all-or-nothing per point list), so recover.
-                results
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .extend(local);
-            });
-        }
+    let machines: Vec<(u32, Machine)> = widths
+        .iter()
+        .map(|&width| (width, Machine::issue(width).with_mem(cfg.mem)))
+        .collect();
+    let (results, _stats) = steal::execute(&workloads, cfg.threads.max(1), |_, w| {
+        eval_workload_staged(w, &levels, &machines, cfg.sabotage.as_ref())
     });
-
-    let collected =
-        results.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
-    Ok(collect_grid(meta, levels, widths, collected))
+    Ok(collect_grid(meta, levels, widths, results.into_iter().flatten()))
 }
 
 #[cfg(test)]
@@ -732,7 +643,6 @@ mod tests {
             threads: 4,
             mem: MemConfig::Perfect,
             sabotage: None,
-            artifacts: None,
         };
         let grid = run_grid(&cfg).unwrap();
         assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
@@ -813,9 +723,15 @@ mod tests {
                 std::mem::discriminant(&want),
                 "{got} vs {want}"
             );
-            // Both engines agree on validation.
-            let fj = run_grid_forkjoin(&cfg).expect_err("fork-join must also reject");
-            assert_eq!(std::mem::discriminant(&fj), std::mem::discriminant(&want));
+            // The sweep engine agrees on validation.
+            let sweep = crate::sweep::run_sweep(&crate::sweep::SweepConfig {
+                scale: cfg.scale,
+                levels: cfg.levels.clone(),
+                widths: cfg.widths.clone(),
+                ..crate::sweep::SweepConfig::default()
+            })
+            .expect_err("the sweep must also reject");
+            assert_eq!(std::mem::discriminant(&sweep), std::mem::discriminant(&want));
         }
     }
 
@@ -885,8 +801,7 @@ mod tests {
                     width: 8,
                     mode,
                 }),
-                artifacts: None,
-            };
+                };
             let grid = run_grid(&cfg).unwrap();
             assert_eq!(grid.errors.len(), 1, "{mode:?}: {:#?}", grid.errors);
             let err = &grid.errors[0];
@@ -925,7 +840,6 @@ mod tests {
             threads: 4,
             mem: MemConfig::Cache(CacheParams::small()),
             sabotage: None,
-            artifacts: None,
         };
         let grid = run_grid(&cfg).unwrap();
         assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
@@ -961,34 +875,15 @@ mod tests {
         let levels = [Level::Lev2, Level::Conv];
         let machines: Vec<(u32, Machine)> = [1, 8].map(|k| (k, Machine::issue(k))).to_vec();
         let staged = eval_workload_staged(&w, &levels, &machines, None);
+        let cache = ArtifactCache::new();
         let mut per_point = Vec::new();
         for &level in &levels {
             for (width, machine) in &machines {
-                let r = eval_point_contained(&w, level, *width, machine, None, None);
+                let r = eval_point_contained(&w, level, *width, machine, None, &cache);
                 per_point.push(((w.meta.name.to_string(), level, *width), r));
             }
         }
         assert_eq!(staged, per_point);
         assert!(staged.iter().all(|(_, r)| matches!(r, Err(PointError::Panic(_)))), "{staged:?}");
-    }
-
-    /// Both engines produce observably identical grids on a mini grid;
-    /// the full-grid differentials run in the integration suites.
-    #[test]
-    fn engines_agree_on_mini_grid() {
-        let cfg = GridConfig {
-            scale: 0.02,
-            levels: vec![Level::Conv, Level::Lev2],
-            widths: vec![1, 8],
-            threads: 4,
-            ..GridConfig::default()
-        };
-        let ws = run_grid(&cfg).unwrap();
-        let fj = run_grid_forkjoin(&cfg).unwrap();
-        let a: Vec<_> = ws.iter_points().map(|(n, l, w, p)| (n.to_string(), l, w, *p)).collect();
-        let b: Vec<_> = fj.iter_points().map(|(n, l, w, p)| (n.to_string(), l, w, *p)).collect();
-        assert_eq!(a.len(), 160);
-        assert_eq!(a, b);
-        assert_eq!(ws.errors, fj.errors);
     }
 }

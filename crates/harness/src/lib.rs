@@ -8,6 +8,7 @@
 
 pub mod artifact;
 pub mod campaign;
+pub mod cli;
 pub mod compile;
 pub mod examples_paper;
 pub mod figures;
@@ -21,8 +22,8 @@ pub use artifact::{Artifact, ArtifactCache, CacheCounters};
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, Outcome};
 pub use compile::{compile, compile_guarded, compile_set, Compiled, GuardedCompile};
 pub use grid::{
-    run_grid, run_grid_forkjoin, Aggregate, Grid, GridConfig, GridConfigError, GridError,
-    PointError, Sabotage, SabotageMode,
+    run_grid, Aggregate, Grid, GridConfig, GridConfigError, GridError, PointError, Sabotage,
+    SabotageMode,
 };
 pub use profile::{compile_with_profile, evaluate_with_profile};
 pub use run::{evaluate, evaluate_set, run_compiled, EvalPoint};

@@ -9,7 +9,7 @@
 //!   point goes into a single work-stealing pool, so a scenario whose
 //!   points are expensive (a cold cache, a slow latency table) is drained
 //!   by workers that finished a cheap scenario early, instead of
-//!   serializing behind a per-grid fork-join barrier;
+//!   serializing behind a per-grid barrier;
 //! * **one artifact cache**: compilation depends only on the machine's
 //!   compile key, so all memory-config scenarios share compiled and
 //!   pre-decoded artifacts (latency-table scenarios get their own keys
@@ -17,7 +17,9 @@
 //!
 //! The result splits back into one observably ordinary [`Grid`] per
 //! scenario, so every existing aggregation, figure and report works
-//! unchanged on sweep output.
+//! unchanged on sweep output. The sweep is the harness's only per-point
+//! engine: each point is compiled (or fetched from the cache) on its own,
+//! so a one-scenario sweep is the oracle the staged grid is held to.
 
 use crate::artifact::{ArtifactCache, CacheCounters};
 use crate::grid::{
@@ -180,14 +182,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
                 latency: scenario.latency,
                 ..Machine::issue(width).with_mem(scenario.mem).with_vlen(scenario.vlen)
             };
-            let r = eval_point_contained(
-                w,
-                level,
-                width,
-                &machine,
-                cfg.sabotage.as_ref(),
-                Some(&artifacts),
-            );
+            let r =
+                eval_point_contained(w, level, width, &machine, cfg.sabotage.as_ref(), &artifacts);
             (si, (w.meta.name.to_string(), level, width), r)
         });
 
@@ -249,7 +245,6 @@ mod tests {
                 threads: 4,
                 mem: scenario.mem,
                 sabotage: None,
-                artifacts: None,
             })
             .unwrap();
             let got: Vec<_> = sweep.grids[i].iter_points().collect();

@@ -43,28 +43,36 @@ cargo build --release --offline --workspace
 echo "== offline workspace check (incl. benches, warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
 
-echo "== offline test suite =="
-cargo test -q --offline
+echo "== offline test suite (every workspace member) =="
+# --workspace for the same reason as the build: a bare `cargo test` runs
+# only the root package's tests and skips every member crate's unit and
+# integration tests (the grid engines, the level-chain oracle, serve).
+cargo test -q --offline --workspace
 
-echo "== EXPERIMENTS.md drift (report --scale 1.0) =="
-# Every block fenced as ```report in EXPERIMENTS.md must be verbatim output
-# of the full-scale report (~0.6 s): a number that moves in the code must
-# move in the document too. The report itself exits nonzero on any
-# differential mismatch.
-report_out=$(mktemp)
-./target/release/report --scale 1.0 > "$report_out"
-python3 - "$report_out" EXPERIMENTS.md <<'EOF'
-import re, sys
-out = open(sys.argv[1]).read()
-doc = open(sys.argv[2]).read()
-blocks = re.findall(r"^```report\n(.*?)^```$", doc, re.M | re.S)
-assert blocks, "no ```report blocks in EXPERIMENTS.md"
-stale = [b.splitlines()[0] for b in blocks if b not in out]
-assert not stale, ("EXPERIMENTS.md blocks differ from `report --scale 1.0`: "
-                   + "; ".join(stale))
-print(f"ok: {len(blocks)} EXPERIMENTS.md blocks match the report")
+echo "== EXPERIMENTS.md drift (report, ablation, sensitivity, swp) =="
+# Every block fenced as ```report, ```ablation, ```sensitivity or ```swp in
+# EXPERIMENTS.md must appear verbatim in the stdout of that binary at its
+# default arguments, `report` at --scale 1.0 (about 0.6, 2.6, 2.7 and
+# 0.1 s): a number that moves in the code must move in the document too.
+# Each binary itself exits nonzero on any differential mismatch.
+drift_dir=$(mktemp -d)
+./target/release/report --scale 1.0 > "$drift_dir/report"
+for bin in ablation sensitivity swp; do
+  ./target/release/$bin > "$drift_dir/$bin"
+done
+python3 - "$drift_dir" EXPERIMENTS.md <<'EOF'
+import os, re, sys
+out_dir, doc = sys.argv[1], open(sys.argv[2]).read()
+for name in ("report", "ablation", "sensitivity", "swp"):
+    out = open(os.path.join(out_dir, name)).read()
+    blocks = re.findall(r"^```" + name + r"\n(.*?)^```$", doc, re.M | re.S)
+    assert blocks, f"no ```{name} blocks in EXPERIMENTS.md"
+    stale = [b.splitlines()[0] for b in blocks if b not in out]
+    assert not stale, (f"EXPERIMENTS.md {name} blocks differ from `{name}`: "
+                       + "; ".join(stale))
+    print(f"ok: {len(blocks)} EXPERIMENTS.md {name} block(s) match the binary")
 EOF
-rm -f "$report_out"
+rm -rf "$drift_dir"
 
 echo "== bench regression gate =="
 # Re-runs the grid bench and fails if simulator cycles/sec regresses >25%

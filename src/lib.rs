@@ -49,8 +49,7 @@ pub mod prelude {
     pub use ilpc_harness::campaign::{run_campaign, CampaignConfig, Outcome};
     pub use ilpc_harness::compile::{compile, compile_guarded};
     pub use ilpc_harness::grid::{
-        run_grid, run_grid_forkjoin, Aggregate, GridConfig, GridConfigError, Sabotage,
-        SabotageMode,
+        run_grid, Aggregate, GridConfig, GridConfigError, Sabotage, SabotageMode,
     };
     pub use ilpc_harness::run::{evaluate, EvalPoint};
     pub use ilpc_harness::sweep::{run_sweep, Scenario, Sweep, SweepConfig};

@@ -1,14 +1,13 @@
 //! Differential guarantee for the staged paper grid.
 //!
-//! Without an artifact cache, `run_grid` builds each workload's front end
-//! once (one reference run, one lowering, one walk of the cumulative level
-//! chain, one superblock formation per level) and runs only the back end
-//! per issue width. `run_grid_forkjoin` still compiles every point from
-//! scratch and is the oracle: the two must agree on the full
-//! `(name, level, width)` point stream and on the typed error list, in the
-//! order the grid reports it, under perfect memory, under a finite cache,
-//! with a sabotaged point of either failure shape, and for an unsorted
-//! level list.
+//! `run_grid` builds each workload's front end once (one reference run,
+//! one lowering, one walk of the cumulative level chain, one superblock
+//! formation per level) and runs only the back end per issue width. A
+//! one-scenario `run_sweep` compiles every point on its own and is the
+//! oracle: the two must agree on the full `(name, level, width)` point
+//! stream and on the typed error list, in the order the grid reports it,
+//! under perfect memory, under a finite cache, with a sabotaged point of
+//! either failure shape, and for an unsorted level list.
 
 use ilp_compiler::harness::grid::PointError;
 use ilp_compiler::harness::Grid;
@@ -30,14 +29,30 @@ fn cfg(levels: &[Level], mem: MemConfig, sabotage: Option<SabotageMode>) -> Grid
             width: 8,
             mode,
         }),
-        artifacts: None,
     }
 }
 
-/// Run both engines on `cfg` and require identical observables.
+/// The per-point oracle for `cfg`: a one-scenario sweep over the same
+/// axes, memory and sabotage.
+fn oracle(cfg: &GridConfig) -> Grid {
+    let mut sweep = run_sweep(&SweepConfig {
+        scale: cfg.scale,
+        levels: cfg.levels.clone(),
+        widths: cfg.widths.clone(),
+        threads: cfg.threads,
+        scenarios: vec![Scenario::mem(cfg.mem)],
+        sabotage: cfg.sabotage.clone(),
+        artifacts: None,
+    })
+    .expect("valid config");
+    sweep.grids.pop().expect("one grid per scenario")
+}
+
+/// Run the staged grid and its oracle on `cfg` and require identical
+/// observables.
 fn staged_vs_oracle(tag: &str, cfg: &GridConfig) -> Grid {
     let staged = run_grid(cfg).expect("valid config");
-    let oracle = run_grid_forkjoin(cfg).expect("valid config");
+    let oracle = oracle(cfg);
     assert_eq!(staged.levels, oracle.levels, "{tag}: levels");
     assert_eq!(staged.widths, oracle.widths, "{tag}: widths");
     let a: Vec<_> = staged.iter_points().collect();
